@@ -139,12 +139,13 @@ impl Qomega {
             self.num = div;
             self.k -= 1;
         }
-        // Coprime odd denominator: strip gcd(content, e).
-        let g = self
-            .num
-            .content()
-            .gcd(&IBig::from(self.denom.clone()))
-            .into_magnitude();
+        // Coprime odd denominator: strip gcd(e, a, b, c, d) — by
+        // associativity gcd(content, e), but folded from e so it stops as
+        // soon as it reaches 1, and skipped when e already is 1.
+        if self.denom.is_one() {
+            return;
+        }
+        let g = self.num.content_gcd(&self.denom);
         if !g.is_one() {
             let gi = IBig::from(g.clone());
             self.num = self.num.div_scalar_exact(&gi);

@@ -2,7 +2,7 @@
 //! canonical-form invariants, Euclidean structure, and agreement between
 //! exact arithmetic and floating-point evaluation.
 
-use aq_bigint::IBig;
+use aq_bigint::{IBig, UBig};
 use aq_rings::{assoc::canonical_associate, Complex64, Domega, Qomega, Zomega};
 use aq_testutil::proptest::prelude::*;
 
@@ -54,6 +54,44 @@ fn reference_mul(x: &Zomega, y: &Zomega) -> [IBig; 4] {
 
 fn domega() -> impl Strategy<Value = Domega> {
     (zomega(), -6i64..6).prop_map(|(z, k)| Domega::new(z, k))
+}
+
+/// Coefficients from small to well past `i64` (up to ~2^110).
+fn wide_coeff() -> impl Strategy<Value = IBig> {
+    (-1000i64..1000, 0u64..100).prop_map(|(m, shift)| &IBig::from(m) * &(&IBig::one() << shift))
+}
+
+fn wide_zomega() -> impl Strategy<Value = Zomega> {
+    (wide_coeff(), wide_coeff(), wide_coeff(), wide_coeff())
+        .prop_map(|(a, b, c, d)| Zomega::new(a, b, c, d))
+}
+
+/// Odd denominators: 1, single-limb, and past the inline two limbs.
+fn odd_denominator() -> impl Strategy<Value = UBig> {
+    (0u64..3, any::<u64>(), 0u32..90).prop_map(|(kind, r, p)| match kind {
+        0 => UBig::one(),
+        1 => UBig::from(r | 1),
+        _ => &UBig::from(3u64).pow(p) * &UBig::from(r | 1),
+    })
+}
+
+/// The canonical form: odd positive denominator coprime to the content,
+/// minimal `√2` exponent, and `0 / (√2⁰·1)` for zero.
+fn assert_canonical_qomega(q: &Qomega) {
+    assert!(q.denom().is_odd(), "even denominator in {q:?}");
+    if q.is_zero() {
+        assert!(q.denom().is_one() && q.k() == 0, "non-canonical zero {q:?}");
+        return;
+    }
+    let g = q.numerator().content().gcd(&IBig::from(q.denom().clone()));
+    assert!(
+        g.is_one(),
+        "denominator shares {g} with the content in {q:?}"
+    );
+    assert!(
+        !q.numerator().divisible_by_sqrt2(),
+        "k not minimal in {q:?}"
+    );
 }
 
 fn qomega() -> impl Strategy<Value = Qomega> {
@@ -167,6 +205,31 @@ proptest! {
             let g = x.numerator().content().gcd(&IBig::from(x.denom().clone()));
             prop_assert!(g.is_one() || x.denom().is_one());
         }
+    }
+
+    /// Reduction keeps an odd denominator coprime to the content whether
+    /// the denominator starts at 1 or above it, and the form is unique:
+    /// scaling numerator and denominator by a common odd factor reduces
+    /// back to the same value.
+    #[test]
+    fn qomega_reduce_keeps_odd_denominator_coprime_to_content(
+        z in wide_zomega(),
+        w in wide_zomega(),
+        k in -4i64..4,
+        e in odd_denominator(),
+        f in odd_denominator(),
+        m in 0u64..200,
+    ) {
+        let x = Qomega::new(z.clone(), k, e.clone());
+        let y = Qomega::new(w, -k, f);
+        let mut results = vec![x.clone(), &x * &y, &x + &y, &x - &y, x.conj()];
+        results.extend(y.inverse().map(|inv| &x * &inv));
+        for q in &results {
+            assert_canonical_qomega(q);
+        }
+        let m = UBig::from(2 * m + 1);
+        let scaled = Qomega::new(z.mul_scalar(&IBig::from(m.clone())), k, &e * &m);
+        prop_assert_eq!(scaled, x);
     }
 
     #[test]

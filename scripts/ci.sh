@@ -30,6 +30,11 @@ cargo build --release --offline --workspace
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== perfbench: builds against the current API, toy output checks =="
+# the benchmark harness is its own package; its toy runs fail on an API
+# break or on Q[omega] and GCD outputs that are not bit-identical
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fail-soft: budget-abort suites =="
 cargo test -q --offline -p aq-dd --test budget
 cargo test -q --offline -p aq-sim --test fail_soft

@@ -97,15 +97,22 @@ fn gse_to_clifford_t_to_all_backends() {
     let (compiled, _) = CliffordTCompiler::new(5).compile(&raw);
     assert!(compiled.is_exact());
 
-    let run = |amps: Vec<aqudd::rings::Complex64>| amps;
-    let mut q = Simulator::new(QomegaContext::new(), &compiled);
-    let va = run(q.run().amplitudes);
-    let mut g = Simulator::new(GcdContext::new(), &compiled);
-    let vg = run(g.run().amplitudes);
-    let mut n = Simulator::new(NumericContext::with_eps(1e-13), &compiled);
-    let vn = run(n.run().amplitudes);
-    assert!(normalized_distance(&vg, &va) < 1e-10, "GCD vs Qω");
-    assert!(normalized_distance(&vn, &va) < 1e-8, "numeric vs Qω");
+    let qomega = Simulator::new(QomegaContext::new(), &compiled).run();
+    let gcd = Simulator::new(GcdContext::new(), &compiled).run();
+    let numeric = Simulator::new(NumericContext::with_eps(1e-13), &compiled).run();
+    // Both exact schemes are canonical, so they agree node for node, and
+    // their exact path products convert to the same doubles bit for bit.
+    assert_eq!(gcd.final_nodes, qomega.final_nodes, "GCD vs Qω nodes");
+    let bits = |amps: &[aqudd::rings::Complex64]| -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&gcd.amplitudes), bits(&qomega.amplitudes), "GCD vs Qω");
+    assert!(
+        normalized_distance(&numeric.amplitudes, &qomega.amplitudes) < 1e-8,
+        "numeric vs Qω"
+    );
 }
 
 #[test]
