@@ -7,7 +7,7 @@
 //!
 //! * [`UBig`] — an unsigned magnitude (little-endian `u64` limbs) with
 //!   schoolbook and Karatsuba multiplication, Knuth Algorithm D division,
-//!   binary GCD, integer square root, shifts and radix conversion.
+//!   Lehmer GCD, integer square root, shifts and radix conversion.
 //! * [`IBig`] — a signed integer built on [`UBig`] with the full set of
 //!   arithmetic operators, comparisons and conversions.
 //!
