@@ -1,14 +1,15 @@
 //! Shared harness code for regenerating the paper's figures.
 //!
 //! The `figures` binary (`cargo run --release -p aq-bench --bin figures --
-//! <fig2|fig3|fig4|fig5|ablation|all> [--paper]`) writes one CSV per plot
-//! under `target/figures/`, with the same series the paper reports:
+//! <fig2|fig3|fig4|fig5|ablation|extras|all> [--paper]`) writes one CSV per
+//! plot under `target/figures/`, with the same series the paper reports:
 //! decision-diagram size, accuracy and cumulative run-time per applied
 //! gate, for each tolerance value ε and for the algebraic representation.
 //!
-//! The Criterion benches in `benches/` cover the headline operations
-//! (full simulations per weight system, normalization schemes, ring and
-//! big-integer arithmetic).
+//! Throughput per weight scheme and of the job service is measured by the
+//! repository's benchmark, `perfbench/` (`python3 perfbench/run.py`), not
+//! here. The algebraic-gap gate this crate keeps lives in
+//! `tests/gap_gate.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,8 +17,8 @@
 use std::path::{Path, PathBuf};
 
 use aq_circuits::Circuit;
-use aq_dd::{GcdContext, NormScheme, NumericContext, QomegaContext, RunBudget, WeightContext};
-use aq_sim::{Column, PairedRun, SimOptions, Simulator, Trace};
+use aq_dd::{NormScheme, NumericContext, RunBudget};
+use aq_sim::{Column, SimOptions, Trace};
 
 pub use aq_sim::sweep::ReferenceRun;
 
@@ -99,13 +100,6 @@ pub fn figure_numeric_context(eps: f64) -> NumericContext {
     NumericContext::with_eps_and_scheme(eps, NormScheme::MaxMagnitude)
 }
 
-/// Runs one numeric ε-sweep entry against the algebraic reference,
-/// sampling the error every `sample_every` gates.
-pub fn traced_numeric_run(circuit: &Circuit, eps: f64, sample_every: usize) -> Trace {
-    let (subject, _) = PairedRun::new(figure_numeric_context(eps), circuit, sample_every).run();
-    subject
-}
-
 /// Simulation options for the figure harness: default tuning plus the
 /// given resource budget (unlimited = historical behaviour).
 pub fn figure_options(budget: RunBudget) -> SimOptions {
@@ -182,21 +176,6 @@ pub fn traced_numeric_vs_reference_resumable(
     )
 }
 
-/// Runs the exact algebraic simulation with tracing.
-pub fn traced_algebraic_run(circuit: &Circuit) -> Trace {
-    traced_run(QomegaContext::new(), circuit)
-}
-
-/// Runs the GCD-normalized algebraic simulation with tracing.
-pub fn traced_gcd_run(circuit: &Circuit) -> Trace {
-    traced_run(GcdContext::new(), circuit)
-}
-
-fn traced_run<W: WeightContext>(ctx: W, circuit: &Circuit) -> Trace {
-    let mut sim = Simulator::with_options(ctx, circuit, SimOptions::default());
-    sim.run().trace
-}
-
 /// Formats an ε for CSV column labels (`eps0`, `eps1e-10`, …).
 pub fn eps_label(eps: f64) -> String {
     if aq_rings::is_exact_eps(eps) {
@@ -251,28 +230,38 @@ pub fn write_figure(figure: &str, labelled: &[(String, Trace)]) {
     aq_sim::write_csv(dir.join(format!("{figure}_bits.csv")), &bits_cols).expect("write csv");
 
     // Budget-aborted series are partial (shorter columns above); record
-    // which ones and why so the CSVs are self-describing.
-    if labelled.iter().any(|(_, t)| t.aborted.is_some()) {
-        let aborted: Vec<&(String, Trace)> = labelled
-            .iter()
-            .filter(|(_, t)| t.aborted.is_some())
-            .collect();
-        let cols = vec![
-            Column {
-                name: "series".into(),
-                values: aborted.iter().map(|(l, _)| l.clone()).collect(),
-            },
-            Column {
-                name: "aborted".into(),
-                values: aborted
-                    .iter()
-                    .map(|(_, t)| t.aborted.clone().unwrap_or_default())
-                    .collect(),
-            },
-            Column::from_usize("points_kept", aborted.iter().map(|(_, t)| t.points.len())),
-        ];
-        aq_sim::write_csv(dir.join(format!("{figure}_aborted.csv")), &cols).expect("write csv");
+    // which ones and why so the CSVs are self-describing. A run in which
+    // every series completed removes the record an earlier run left.
+    let aborted_csv = dir.join(format!("{figure}_aborted.csv"));
+    let aborted: Vec<&(String, Trace)> = labelled
+        .iter()
+        .filter(|(_, t)| t.aborted.is_some())
+        .collect();
+    if aborted.is_empty() {
+        if let Err(e) = std::fs::remove_file(&aborted_csv) {
+            assert!(
+                e.kind() == std::io::ErrorKind::NotFound,
+                "remove {}: {e}",
+                aborted_csv.display()
+            );
+        }
+        return;
     }
+    let cols = vec![
+        Column {
+            name: "series".into(),
+            values: aborted.iter().map(|(l, _)| l.clone()).collect(),
+        },
+        Column {
+            name: "aborted".into(),
+            values: aborted
+                .iter()
+                .map(|(_, t)| t.aborted.clone().unwrap_or_default())
+                .collect(),
+        },
+        Column::from_usize("points_kept", aborted.iter().map(|(_, t)| t.points.len())),
+    ];
+    aq_sim::write_csv(aborted_csv, &cols).expect("write csv");
 }
 
 /// Prints a short textual summary of a figure's traces (peak size, final
@@ -386,12 +375,22 @@ mod tests {
     }
 
     #[test]
-    fn traced_runs_produce_points() {
+    fn complete_rerun_removes_the_stale_aborted_csv() {
+        let aborted_csv = Path::new("target/figures/stale_aborted_test_aborted.csv");
+        let partial = Trace {
+            aborted: Some("deadline exceeded".into()),
+            ..Trace::default()
+        };
+        write_figure("stale_aborted_test", &[("eps0".into(), partial)]);
+        assert!(aborted_csv.exists(), "an aborted series must be recorded");
+
         let c = aq_circuits::grover(3, 2);
-        let t = traced_algebraic_run(&c);
-        assert_eq!(t.points.len(), c.len());
-        let tn = traced_numeric_run(&c, 1e-12, 4);
-        assert_eq!(tn.points.len(), c.len());
-        assert!(tn.final_error().is_some());
+        let reference = reference_run(&c, 4, 0);
+        assert!(reference.trace.aborted.is_none());
+        write_figure("stale_aborted_test", &[("eps0".into(), reference.trace)]);
+        assert!(
+            !aborted_csv.exists(),
+            "a run with no aborted series must not leave the old record behind"
+        );
     }
 }

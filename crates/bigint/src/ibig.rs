@@ -139,15 +139,16 @@ impl IBig {
         )
     }
 
-    /// Exact division; in debug builds, panics if `rhs` does not divide
-    /// `self` exactly.
+    /// Exact division.
     ///
     /// # Panics
     ///
-    /// Panics if `rhs` is zero.
+    /// Panics if `rhs` is zero or does not divide `self` exactly, in
+    /// release builds too: a truncated quotient would be a silently wrong
+    /// value, and the remainder is computed anyway.
     pub fn div_exact(&self, rhs: &IBig) -> IBig {
         let (q, r) = self.div_rem(rhs);
-        debug_assert!(r.is_zero(), "div_exact: {self} not divisible by {rhs}");
+        assert!(r.is_zero(), "div_exact: {self} not divisible by {rhs}");
         q
     }
 
@@ -444,6 +445,20 @@ mod tests {
         assert_eq!(ib(-7).div_rem(&ib(2)), (ib(-3), ib(-1)));
         assert_eq!(ib(7).div_rem(&ib(-2)), (ib(-3), ib(1)));
         assert_eq!(ib(-7).div_rem(&ib(-2)), (ib(3), ib(-1)));
+    }
+
+    #[test]
+    fn exact_division() {
+        assert_eq!(ib(-42).div_exact(&ib(6)), ib(-7));
+        let big = IBig::from(i128::MAX - 1); // 2^127 - 2
+        assert_eq!(big.div_exact(&ib(-2)), -IBig::from(i128::MAX / 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "not divisible")]
+    fn inexact_division_panics_in_every_build() {
+        // 2^127 - 1 is prime: 3 leaves a remainder
+        let _ = IBig::from(i128::MAX).div_exact(&ib(3));
     }
 
     #[test]

@@ -638,8 +638,8 @@ mod tests {
 
     #[test]
     fn certificate_normalize_matches_eager_euclid_chain() {
-        // Run in the debug build, where `div_scalar_exact` asserts that
-        // every per-weight division by g is exact.
+        // `div_scalar_exact` asserts that every per-weight division by g
+        // is exact.
         let ctx = GcdContext::new();
         let mut rng = Rng::from_seed(0xa1_93);
         let (mut unit_gcds, mut proper_gcds) = (0, 0);
@@ -672,7 +672,8 @@ mod tests {
     fn certificate_stop_on_a_power_of_one_plus_omega_divides_by_one() {
         // The first numerator is (1+ω)^j times a unit: a D[ω] unit but not
         // a Z[ω] one. A later numerator with odd norm is not divisible by
-        // 1+ω, so dividing it by the g the chain stopped on would truncate.
+        // 1+ω, so dividing it by the g the chain stopped on would panic in
+        // `div_scalar_exact`.
         let ctx = GcdContext::new();
         let mut rng = Rng::from_seed(0x1_0e);
         let one_plus_omega = Domega::from(zo(0, 0, 1, 1));

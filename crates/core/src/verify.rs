@@ -1,5 +1,5 @@
 //! Verification-oriented operations: exact inner products, operator
-//! adjoints, Kronecker composition and measurement sampling.
+//! adjoints and Kronecker composition.
 //!
 //! These are the design-task payoffs of an exact representation that the
 //! paper highlights (Sec. V-B): with canonical algebraic diagrams,
@@ -143,68 +143,6 @@ impl<W: WeightContext> Manager<W> {
         let e = self.make_mat_node(node.var, children);
         memo.insert(n, e);
         e
-    }
-
-    /// Samples a computational-basis measurement outcome from a state DD.
-    ///
-    /// `unit_random` must return values uniform in `[0, 1)`; branch
-    /// probabilities are computed from the (converted) weights, so the
-    /// sampling distribution matches [`Manager::amplitudes`] squared.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is the zero edge (nothing to measure).
-    pub fn sample_measurement(
-        &mut self,
-        e: &Edge<VecId>,
-        mut unit_random: impl FnMut() -> f64,
-    ) -> u64 {
-        assert!(!e.is_zero(), "cannot measure the zero vector");
-        let mut norms: HashMap<VecId, f64> = HashMap::new();
-        let total = self.subtree_norm(e.n, &mut norms);
-        debug_assert!(total > 0.0, "state has zero norm");
-
-        let mut outcome = 0u64;
-        let mut node = e.n;
-        while !node.is_terminal() {
-            let n = self.vec_nodes[node.0 as usize];
-            let weight_prob = |m: &mut Self, c: Edge<VecId>, norms: &mut HashMap<VecId, f64>| {
-                if c.is_zero() {
-                    0.0
-                } else {
-                    let w = m.ctx.to_complex(m.table.get(c.w)).norm_sqr();
-                    w * m.subtree_norm(c.n, norms)
-                }
-            };
-            let p0 = weight_prob(self, n.children[0], &mut norms);
-            let p1 = weight_prob(self, n.children[1], &mut norms);
-            let r = unit_random() * (p0 + p1);
-            let bit = usize::from(r >= p0);
-            outcome = (outcome << 1) | bit as u64;
-            node = n.children[bit].n;
-        }
-        outcome
-    }
-
-    /// Squared norm of the sub-vector rooted at `n` (weight-1 edge).
-    fn subtree_norm(&mut self, n: VecId, memo: &mut HashMap<VecId, f64>) -> f64 {
-        if n.is_terminal() {
-            return 1.0;
-        }
-        if let Some(&hit) = memo.get(&n) {
-            return hit;
-        }
-        let node = self.vec_nodes[n.0 as usize];
-        let mut total = 0.0;
-        for c in node.children {
-            if c.is_zero() {
-                continue;
-            }
-            let w = self.ctx.to_complex(self.table.get(c.w)).norm_sqr();
-            total += w * self.subtree_norm(c.n, memo);
-        }
-        memo.insert(n, total);
-        total
     }
 }
 

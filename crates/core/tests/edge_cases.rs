@@ -1,7 +1,8 @@
 //! Edge-case and failure-injection tests for the QMDD engine.
 
 use aq_dd::{
-    Edge, GateMatrix, GcdContext, Manager, NumericContext, QomegaContext, WeightContext, WeightId,
+    Edge, EngineError, GateMatrix, GcdContext, Manager, NumericContext, QomegaContext,
+    WeightContext, WeightId,
 };
 use aq_rings::{Complex64, Qomega};
 
@@ -40,10 +41,12 @@ fn gate_control_on_target() {
 }
 
 #[test]
-#[should_panic(expected = "cannot measure the zero vector")]
-fn measuring_zero_vector_panics() {
+fn sampling_the_zero_vector_is_an_impossible_measurement() {
     let mut m = Manager::new(QomegaContext::new(), 1);
-    let _ = m.sample_measurement(&Edge::ZERO_VEC, || 0.5);
+    assert!(matches!(
+        m.try_state_sampler(&Edge::ZERO_VEC),
+        Err(EngineError::ImpossibleMeasurement { qubit: 0 })
+    ));
 }
 
 #[test]

@@ -173,9 +173,10 @@ fn sampling_matches_distribution() {
         seed ^= seed << 17;
         (seed >> 11) as f64 / (1u64 << 53) as f64
     };
+    let sampler = m.try_state_sampler(&state).expect("unbudgeted");
     let mut hits = [0u32; 2];
     for _ in 0..4000 {
-        match m.sample_measurement(&state, &mut rng) {
+        match sampler.draw(&mut rng) {
             0 => hits[0] += 1,
             31 => hits[1] += 1,
             other => panic!("impossible outcome {other}"),

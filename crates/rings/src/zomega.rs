@@ -321,17 +321,16 @@ impl Zomega {
     ///
     /// # Panics
     ///
-    /// Panics if `s` is zero; debug-panics if any coefficient is not
-    /// divisible.
+    /// Panics if `s` is zero or does not divide every coefficient.
     pub fn div_scalar_exact(&self, s: &IBig) -> Zomega {
-        if let (Repr::Small([a, b, c, d]), Some(s)) = (&self.repr, s.to_i64()) {
-            // checked_div also rejects i64::MIN / −1, which must promote.
-            if let (Some(a), Some(b), Some(c), Some(d)) = (
-                a.checked_div(s),
-                b.checked_div(s),
-                c.checked_div(s),
-                d.checked_div(s),
-            ) {
+        if let (Repr::Small(coeffs), Some(s)) = (&self.repr, s.to_i64()) {
+            // checked_div also rejects s = 0 and i64::MIN / −1, which must
+            // promote. Those, and a coefficient that s does not divide
+            // (|q·s| ≤ |x|, so the check cannot overflow), fall through to
+            // the bigint path, which panics on an inexact division.
+            if let [Some(a), Some(b), Some(c), Some(d)] =
+                coeffs.map(|x| x.checked_div(s).filter(|q| q * s == x))
+            {
                 return Zomega::from_small([a, b, c, d]);
             }
         }

@@ -76,6 +76,14 @@ fn zomega_scalar_helpers() {
 }
 
 #[test]
+#[should_panic(expected = "not divisible")]
+fn zomega_scalar_division_rejects_an_inexact_scalar() {
+    // inline i64 coefficients are checked like heap ones, in every build
+    let z = Zomega::new(IBig::from(6), IBig::from(-9), IBig::from(12), IBig::from(3));
+    let _ = z.div_scalar_exact(&IBig::from(2));
+}
+
+#[test]
 fn domega_coeff_bits_and_pow_tracking() {
     let small = Domega::one();
     assert_eq!(small.coeff_bits(), 1);

@@ -15,6 +15,7 @@
 #![cfg(feature = "chaos")]
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -574,4 +575,78 @@ fn slow_connection_is_reaped_at_shutdown_and_counted() {
         "the stalled victim must be reaped and counted: {m:?}"
     );
     assert!(m.reconciles(), "metrics must reconcile: {m:?}");
+}
+
+/// A closed loop under a 1 %-per-job kill plan: 4 workers, 8 concurrent
+/// retrying clients, 64 distinct Grover-6 jobs. The result cache is off,
+/// so every submission reaches a worker and the killed job ids depend on
+/// the seed alone (this seed kills ids 10, 19, 54 and 63).
+#[test]
+fn one_percent_kill_plan_under_retrying_clients_completes_every_job() {
+    const JOBS: usize = 64;
+    const SEED: u64 = 0xCAFE_BABE;
+    let mut cfg = fast_cfg("kill-per-mille", vec![SchemeClass::Numeric; 4]);
+    cfg.queue_capacity = JOBS * 2;
+    cfg.result_cache_capacity = 0;
+    cfg.restart_budget = 10_000;
+    cfg.fault_plan = FaultPlan::seeded(SEED).kill_per_mille(10);
+    let core = ServeCore::start(cfg).expect("start chaos pool");
+    let client = Client::new(Arc::clone(&core));
+
+    let remaining = Arc::new(AtomicUsize::new(JOBS));
+    let clients: Vec<_> = (0..8u64)
+        .map(|s| {
+            let client = client.clone();
+            let remaining = Arc::clone(&remaining);
+            std::thread::spawn(move || {
+                let policy = RetryPolicy {
+                    max_attempts: 8,
+                    base: Duration::from_millis(5),
+                    cap: Duration::from_millis(100),
+                    seed: SEED ^ s,
+                };
+                let mut i = 0u64;
+                while remaining
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                    .is_ok()
+                {
+                    let marked = (s * 31 + i * 7) % JOBS as u64;
+                    i += 1;
+                    let req = submit(
+                        CircuitSpec::Grover { n: 6, marked },
+                        SchemeSpec::Numeric { eps: 1e-10 },
+                    );
+                    match client.run_with_retry(&req, Duration::from_secs(300), &policy) {
+                        Response::Status(report) => {
+                            assert_eq!(report.state, JobState::Completed, "{report:?}")
+                        }
+                        other => panic!("retry loop gave up: {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    match client.drain() {
+        Response::Drained { .. } => {}
+        other => panic!("expected Drained, got {other:?}"),
+    }
+    let m = client.metrics();
+    assert!(m.reconciles(), "metrics must reconcile: {m:?}");
+    assert_eq!(m.completed, JOBS as u64, "{m:?}");
+    assert_eq!(m.worker_deaths, 4, "seed kills ids 10, 19, 54, 63: {m:?}");
+    assert_eq!(m.worker_respawns, m.worker_deaths, "{m:?}");
+    assert_eq!(m.chaos.expect("counters").kills, m.worker_deaths);
+    // Each kill aborts one job as transient and its client retries it
+    // once; nothing is refused, so every submission beyond the 64 jobs
+    // is exactly one such retry.
+    assert_eq!(m.rejected, 0, "{m:?}");
+    assert_eq!(m.aborted, m.worker_deaths, "{m:?}");
+    assert_eq!(m.submitted - JOBS as u64, m.aborted, "{m:?}");
+    client.shutdown();
+    #[cfg(feature = "lock-audit")]
+    assert_lock_graph_clean();
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Offline CI: formatting, lints, the tier-1 build+test command, and the
-# engine throughput benchmark. No network access required — the workspace
-# has no external dependencies.
+# Offline CI: formatting, lints, the tier-1 build+test command, the
+# feature-gated suites, and real figures and server cycles. No network
+# access required — the workspace has no external dependencies.
+# Throughput is measured by perfbench (`python3 perfbench/run.py`), not here.
 #
-# Usage: scripts/ci.sh [--no-bench]
+# Usage: scripts/ci.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,7 +29,17 @@ echo "== tier-1: cargo build --release =="
 cargo build --release --offline --workspace
 
 echo "== tier-1: cargo test -q =="
+# every crate suite, including the algebraic-gap gate
+# (crates/bench/tests/gap_gate.rs) and the worker-scaling gate
+# (crates/serve/tests/scale.rs)
 cargo test -q --offline --workspace
+
+echo "== release build: exact division and the timing gates, optimized =="
+# IBig::div_exact checks its remainder in release too; the gap and scale
+# gates also run in the profile the retired bench binaries measured them in
+cargo test -q --release --offline -p aq-bigint
+cargo test -q --release --offline -p aq-bench --test gap_gate
+cargo test -q --release --offline -p aq-serve --test scale
 
 echo "== perfbench: builds against the current API, toy output checks =="
 # the benchmark harness is its own package; its toy runs fail on an API
@@ -46,6 +57,25 @@ cargo test -q --offline -p aq-dd --test snapshot_roundtrip
 cargo test -q --offline -p aq-sim --test checkpoint_resume
 cargo test -q --offline -p aq-bench --test resume_figures
 
+echo "== figures: real checkpoint/resume cycle (fig4) =="
+fig_ckpt="target/ci_figures.aqckp"
+fig_log="target/ci_figures_resumed.log"
+rm -f "$fig_ckpt" "$fig_log"
+# a 50 ms deadline aborts every fig4 series mid-run; each abort dumps the
+# checkpoint (later series overwrite it)
+./target/release/figures fig4 --deadline-secs=0.05 --checkpoint="$fig_ckpt"
+test -f "$fig_ckpt" || { echo "expected a checkpoint dump"; exit 1; }
+test -f target/figures/fig4_aborted.csv \
+    || { echo "expected the aborted series in fig4_aborted.csv"; exit 1; }
+# the resumed run must complete every series and remove the abort record
+./target/release/figures fig4 --resume="$fig_ckpt" | tee "$fig_log"
+if grep -q 'aborted:' "$fig_log"; then
+    echo "resumed figures run still has aborted series"; exit 1
+fi
+test ! -e target/figures/fig4_aborted.csv \
+    || { echo "a complete fig4 run left a stale fig4_aborted.csv"; exit 1; }
+rm -f "$fig_ckpt" "$fig_log"
+
 echo "== invariants: validate-invariants feature gates =="
 cargo test -q --offline -p aq-dd --features validate-invariants --test invariants
 cargo test -q --offline -p aq-sim --features validate-invariants --lib
@@ -57,10 +87,11 @@ cargo test -q --offline -p aq-serve --features lock-audit --test protocol_faults
 # static R9 graph must be acyclic and a superset of the runtime graph
 cargo test -q --offline -p aq-serve --features lock-audit --test static_lock_order
 
-echo "== serve: deterministic chaos suite (3 pinned seeds, lock-audit on) =="
+echo "== serve: deterministic chaos suite (pinned seeds, lock-audit on) =="
 # seed-driven worker kills, session corruption, connection stalls and
 # spurious wakeups; asserts exact metric reconciliation and byte-identical
-# results under every schedule (seeds pinned inside the suite)
+# results under every schedule, and that a 1 %-per-job kill plan under
+# retrying clients completes every job (seeds pinned inside the suite)
 cargo test -q --offline -p aq-serve --features chaos,lock-audit --test chaos
 cargo test -q --offline -p aq-sim --features chaos --lib
 
@@ -204,45 +235,5 @@ wait "$chaos_pid" || { echo "chaos aq-served exited non-zero"; exit 1; }
 rm -rf "$chaos_ck" "$chaos_log" target/ci_chaos_*.json
 # restore the feature-free binaries for anything running after CI
 cargo build -q --release --offline -p aq-serve
-
-if [[ "${1:-}" != "--no-bench" ]]; then
-    echo "== serve bench: worker-scaling gate + chaos row + BENCH_serve.json =="
-    # 4-worker throughput must not fall below 1-worker throughput; the
-    # gate prints a skip notice (and passes) when host_cores == 1. The
-    # chaos build adds the 1%-job-panic row (deaths/respawns/retries).
-    cargo run --release --offline -p aq-bench --features chaos --bin serve_bench -- \
-        BENCH_serve.json --scale-gate --chaos-seed=3405691582
-    grep -q '"config": "chaos-1pct-kill-4w"' BENCH_serve.json \
-        || { echo "expected the chaos row in BENCH_serve.json"; exit 1; }
-    grep -q '"config": "sampler-final-1w"' BENCH_serve.json \
-        || { echo "expected the measurement-free sampler row"; exit 1; }
-    grep -q '"config": "sampler-forked-1w"' BENCH_serve.json \
-        || { echo "expected the fork-per-shot sampler row"; exit 1; }
-
-    echo "== engine bench: algebraic-gap regression gate (grover6) =="
-    # GCD D[omega] throughput must hold at least half of numeric throughput
-    # (measured ~1.2x on this workload; the gate catches a regression back
-    # to the orders-of-magnitude gap this representation used to have)
-    cargo run --release --offline -p aq-bench --bin engine_bench -- --gap-gate=0.5
-
-    echo "== engine bench (BENCH_engine.json) =="
-    cargo run --release --offline -p aq-bench --bin engine_bench -- BENCH_engine.json
-
-    echo "== engine bench: real checkpoint/resume cycle =="
-    ckpt="target/ci_engine_bench.aqckp"
-    rm -f "$ckpt"
-    # a 50 ms deadline aborts every workload mid-run; each abort dumps the
-    # checkpoint (later workloads overwrite it)
-    cargo run --release --offline -p aq-bench --bin engine_bench -- \
-        target/ci_bench_aborted.json --deadline-secs=0.05 --checkpoint="$ckpt"
-    test -f "$ckpt" || { echo "expected a checkpoint dump"; exit 1; }
-    # resumed run must complete and leave no aborted samples
-    cargo run --release --offline -p aq-bench --bin engine_bench -- \
-        target/ci_bench_resumed.json --resume="$ckpt"
-    if grep -q '"aborted": "' target/ci_bench_resumed.json; then
-        echo "resumed engine_bench still has aborted samples"; exit 1
-    fi
-    rm -f "$ckpt" target/ci_bench_aborted.json target/ci_bench_resumed.json
-fi
 
 echo "CI OK"
