@@ -234,8 +234,10 @@ impl WeightContext for QomegaContext {
 /// because `1+ω` is the only prime of `Z[ω]` above 2; and `(1+ω)² = λ·ω·√2`
 /// makes `1+ω` a `D[ω]` unit, which the unit-invariant canonical associate
 /// absorbs. The chain stops the same way once `E(g)` itself is a power of
-/// two. Otherwise it runs Euclid exactly as before, so a non-unit result is
-/// the one the plain chain would give.
+/// two. Otherwise it takes `gcd(g, w)`, on operands reduced modulo `M`
+/// ([`gcd_modulo`]) when `M` is narrower than their widest coefficient.
+/// Every result is an associate of the plain chain's, so `E(g)` and the
+/// stops are the same.
 ///
 /// A stop returns `None`, so the caller divides by 1 — never by the `g`
 /// reached so far: that `g` need not divide the numerators not yet seen,
@@ -252,12 +254,33 @@ fn numerator_gcd(ws: &[Domega]) -> Option<Zomega> {
         let Some(num) = nums.next() else {
             return Some(g);
         };
-        if eg.gcd(num.euclidean_value().magnitude()).is_power_of_two() {
+        let m = eg.gcd(num.euclidean_value().magnitude());
+        if m.is_power_of_two() {
             return None;
         }
-        g = g.gcd(num);
+        // Starting Euclid from an M wider than the operands would put
+        // E(M) = M⁴ into its first step.
+        g = if m.bit_len() < g.coeff_bits().max(num.coeff_bits()) {
+            gcd_modulo(&g, num, &m)
+        } else {
+            g.gcd(num)
+        };
         eg = g.euclidean_value().into_magnitude();
     }
+}
+
+/// `gcd(g, w)` up to a `Z[ω]` unit, computed as `gcd(gcd(m, g mod m), w mod m)`
+/// with `mod` per coordinate ([`Zomega::rem_symmetric`]), so Euclid runs at
+/// the width of `m` rather than of `g` and `w`.
+///
+/// `m` must be a non-zero rational integer in the ideal `(g, w)`, such as
+/// `M = gcd_Z(E(g), E(w))`: a common divisor `d` divides `E(d)`, which is
+/// `d` times its three Galois conjugates, and `E(d)` divides `M`. Then
+/// `(g, w) = (m, g mod m, w mod m)`, since each reduction subtracts a
+/// multiple of `m`.
+fn gcd_modulo(g: &Zomega, w: &Zomega, m: &UBig) -> Zomega {
+    let m_elem = Zomega::new(IBig::zero(), IBig::zero(), IBig::zero(), m.clone().into());
+    m_elem.gcd(&g.rem_symmetric(m)).gcd(&w.rem_symmetric(m))
 }
 
 /// The `D[ω]` weight system with canonical-GCD normalization — the paper's
@@ -666,6 +689,69 @@ mod tests {
             unit_gcds > 40 && proper_gcds > 40,
             "both paths must be exercised: {unit_gcds} unit, {proper_gcds} proper gcds"
         );
+    }
+
+    /// `x | y` in `Z[ω]`.
+    fn divides(x: &Zomega, y: &Zomega) -> bool {
+        y.div_rem(x).1.is_zero()
+    }
+
+    #[test]
+    fn gcd_modulo_agrees_with_plain_euclid() {
+        let mut rng = Rng::from_seed(0x6cd0e);
+        let (mut narrow, mut wide, mut coprime, mut zero_operand, mut negative) = (0, 0, 0, 0, 0);
+        for _ in 0..400 {
+            // (2+ω)^a·3^b·(1+ω)^j, or nothing (mostly coprime pairs), times
+            // cofactors reaching past i64
+            let shared = match rng.below(4) {
+                0 => Zomega::one(),
+                _ => {
+                    let mut pow = |base: Zomega, below: u64| base.pow(rng.below(below) as u32);
+                    &(&pow(zo(0, 0, 1, 2), 3) * &pow(Zomega::from_int(3), 3))
+                        * &pow(zo(0, 0, 1, 1), 4)
+                }
+            };
+            let g = &shared * &cofactor(&mut rng);
+            let w = match rng.below(6) {
+                0 => Zomega::zero(),
+                _ => &shared * &cofactor(&mut rng),
+            };
+            if g.is_zero() {
+                continue;
+            }
+            let m = g
+                .euclidean_value()
+                .into_magnitude()
+                .gcd(w.euclidean_value().magnitude());
+            let reduced = gcd_modulo(&g, &w, &m);
+            let plain = g.gcd(&w);
+            assert!(
+                divides(&reduced, &plain) && divides(&plain, &reduced),
+                "gcd({g:?}, {w:?}) mod {m}: {reduced:?} vs plain {plain:?}"
+            );
+            if m.bit_len() < g.coeff_bits().max(w.coeff_bits()) {
+                narrow += 1;
+            } else {
+                wide += 1;
+            }
+            coprime += usize::from(plain.euclidean_value().is_one());
+            zero_operand += usize::from(w.is_zero());
+            negative += usize::from(
+                g.coeffs()
+                    .iter()
+                    .chain(w.coeffs().iter())
+                    .any(IBig::is_negative),
+            );
+        }
+        for (case, count) in [
+            ("M narrower than the operands", narrow),
+            ("M at least as wide as the operands", wide),
+            ("coprime", coprime),
+            ("zero operand", zero_operand),
+            ("negative coordinates", negative),
+        ] {
+            assert!(count >= 10, "{case}: only {count} draws");
+        }
     }
 
     #[test]

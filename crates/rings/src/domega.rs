@@ -189,12 +189,7 @@ impl Domega {
     /// Maximum bit length over the four coefficients — the quantity whose
     /// growth explains the GSE overhead in Fig. 5 of the paper.
     pub fn coeff_bits(&self) -> u64 {
-        self.num
-            .coeffs()
-            .iter()
-            .map(|c| c.bit_len())
-            .max()
-            .unwrap_or(0)
+        self.num.coeff_bits()
     }
 
     /// Exact equality with an integer-free check against `Zomega` scaled
@@ -237,16 +232,11 @@ impl Add<&Domega> for &Domega {
         } else {
             (rhs, self)
         };
-        let mut scaled = lo.num.clone();
-        let mut diff = hi.k - lo.k;
-        while diff >= 2 {
-            scaled = &scaled * &Zomega::from_int(2);
-            diff -= 2;
-        }
-        if diff == 1 {
-            scaled = scaled.mul_sqrt2();
-        }
-        Domega::new(&scaled + &hi.num, hi.k)
+        let sum = match hi.k.abs_diff(lo.k) {
+            0 => &lo.num + &hi.num,
+            gap => &lo.num.mul_sqrt2_pow(gap) + &hi.num,
+        };
+        Domega::new(sum, hi.k)
     }
 }
 
@@ -365,6 +355,35 @@ mod tests {
         // 1 + 1/√2: stays at k = 1
         let x = &Domega::one() + &h;
         assert_eq!(x.k(), 1);
+    }
+
+    #[test]
+    fn addition_aligns_wide_exponent_gaps() {
+        // Gaps past 128 leave `mul_sqrt2_pow`'s inline shift; compare with
+        // alignment one √2 at a time.
+        let wide = Zomega::new(
+            &IBig::from(5) << 70,
+            IBig::from(-3),
+            IBig::from(1),
+            IBig::from(2),
+        );
+        for lo in [
+            dw(3, -1, 4, 1, -2),
+            dw(-7, 0, 1, 2, 0),
+            Domega::new(wide, 1),
+        ] {
+            for gap in [0, 1, 2, 63, 64, 127, 128, 129, 130, 131, 200] {
+                let hi = dw(1, 2, -5, 7, lo.k() + gap);
+                assert_eq!(hi.k(), lo.k() + gap);
+                let mut scaled = lo.numerator().clone();
+                for _ in 0..gap {
+                    scaled = scaled.mul_sqrt2();
+                }
+                let expected = Domega::new(&scaled + hi.numerator(), hi.k());
+                assert_eq!(&lo + &hi, expected, "gap {gap}");
+                assert_eq!(&hi + &lo, expected, "gap {gap}");
+            }
+        }
     }
 
     #[test]

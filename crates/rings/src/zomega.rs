@@ -387,24 +387,22 @@ impl Zomega {
     /// Multiplies by `√2^m` for `m ≥ 0` (powers of 2 shortcut).
     pub fn mul_sqrt2_pow(&self, m: u64) -> Zomega {
         let half = m / 2;
-        if let Repr::Small([a, b, c, d]) = &self.repr {
-            if half < 64 {
+        let shifted = match &self.repr {
+            _ if half == 0 => self.clone(),
+            Repr::Small([a, b, c, d]) if half < 64 => {
                 let f = 1i128 << half;
-                let shifted = Zomega::from_i128s([
+                Zomega::from_i128s([
                     *a as i128 * f,
                     *b as i128 * f,
                     *c as i128 * f,
                     *d as i128 * f,
-                ]);
-                return if m % 2 == 1 {
-                    shifted.mul_sqrt2()
-                } else {
-                    shifted
-                };
+                ])
             }
-        }
-        let [a, b, c, d] = self.coeffs();
-        let shifted = Zomega::canonical([&a << half, &b << half, &c << half, &d << half]);
+            _ => {
+                let [a, b, c, d] = self.coeffs();
+                Zomega::canonical([&a << half, &b << half, &c << half, &d << half])
+            }
+        };
         if m % 2 == 1 {
             shifted.mul_sqrt2()
         } else {
@@ -440,11 +438,19 @@ impl Zomega {
     /// Panics if `rhs` is zero.
     pub fn div_rem(&self, rhs: &Zomega) -> (Zomega, Zomega) {
         assert!(!rhs.is_zero(), "division by zero in Z[omega]");
+        let (q, r, _) = self.div_rem_normed(rhs, &rhs.norm());
+        (q, r)
+    }
+
+    /// [`Zomega::div_rem`] given `n = N(rhs)`, also returning `N(r)`, which
+    /// it computes anyway to check `E(r) < E(rhs)`: a Euclid chain passes
+    /// it on as the next step's `N(rhs)` instead of recomputing it.
+    fn div_rem_normed(&self, rhs: &Zomega, n: &Zroot2) -> (Zomega, Zomega, Zroot2) {
         // self/rhs = self·conj(rhs)·σ(N(rhs)) / fieldnorm(rhs), where
         // σ(N) = u − v√2 is the Galois conjugate of N(rhs) = u + v√2.
         // As a Z[ω] element, u − v√2 = u + v(ω³ − ω) = (v, 0, −v, u).
-        let n = rhs.norm();
         let denom = n.field_norm(); // u² − 2v², may be negative
+        let e_rhs = denom.abs(); // E(rhs)
         let sigma = Zomega::new(n.v.clone(), IBig::zero(), -&n.v, n.u.clone());
         let num = &(self * &rhs.conj()) * &sigma;
         let [na, nb, nc, nd] = num.coeffs();
@@ -455,34 +461,35 @@ impl Zomega {
             nd.div_round_nearest(&denom),
         ]);
         let r = self - &(&q * rhs);
-        if r.euclidean_value() < rhs.euclidean_value() {
-            return (q, r);
+        let nr = r.norm();
+        if nr.field_norm().abs() < e_rhs {
+            return (q, r, nr);
         }
         // Rounding ties can land on the boundary E(r) = E(rhs); nudge the
         // quotient by one unit per coordinate and take the best neighbour.
-        let mut best: Option<(Zomega, Zomega, IBig)> = None;
+        let mut best: Option<(Zomega, Zomega, Zroot2, IBig)> = None;
         for da in -1..=1i64 {
             for db in -1..=1i64 {
                 for dc in -1..=1i64 {
                     for dd in -1..=1i64 {
                         let cand = &q + &Zomega::new(da.into(), db.into(), dc.into(), dd.into());
                         let r = self - &(&cand * rhs);
-                        let e = r.euclidean_value();
-                        if best.as_ref().is_none_or(|(_, _, be)| e < *be) {
-                            best = Some((cand, r, e));
+                        let nr = r.norm();
+                        let e = nr.field_norm().abs();
+                        if best.as_ref().is_none_or(|(.., be)| e < *be) {
+                            best = Some((cand, r, nr, e));
                         }
                     }
                 }
             }
         }
         // aq-lint: allow(R1): the candidate loop always runs, so best was set at least once
-        let (q, r, e) = best.expect("nonempty neighbourhood");
+        let (q, r, nr, e) = best.expect("nonempty neighbourhood");
         assert!(
-            e < rhs.euclidean_value(),
-            "Euclidean division failed to reduce: E(r)={e} ≥ E(rhs)={}",
-            rhs.euclidean_value()
+            e < e_rhs,
+            "Euclidean division failed to reduce: E(r)={e} ≥ E(rhs)={e_rhs}"
         );
-        (q, r)
+        (q, r, nr)
     }
 
     /// Greatest common divisor by the Euclidean algorithm.
@@ -493,12 +500,62 @@ impl Zomega {
     pub fn gcd(&self, other: &Zomega) -> Zomega {
         let mut x = self.clone();
         let mut y = other.clone();
+        let mut ny = y.norm();
         while !y.is_zero() {
-            let (_, r) = x.div_rem(&y);
+            let (_, r, nr) = x.div_rem_normed(&y, &ny);
             x = y;
             y = r;
+            ny = nr;
         }
         x
+    }
+
+    /// Reduces every coefficient modulo `m` into the symmetric range
+    /// `(−m/2, m/2]`. The result is congruent to `self` modulo the
+    /// rational integer `m`, i.e. it differs from `self` by a multiple of
+    /// `m` in `Z[ω]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero.
+    pub fn rem_symmetric(&self, m: &UBig) -> Zomega {
+        assert!(!m.is_zero(), "reduction modulo zero");
+        if let (Repr::Small(s), Some(m)) = (&self.repr, m.to_u64()) {
+            // |x| < 2^63 and m < 2^64, so every step fits i128
+            let m = m as i128;
+            return Zomega::from_i128s(s.map(|x| {
+                let r = (x as i128).rem_euclid(m);
+                if r > m / 2 {
+                    r - m
+                } else {
+                    r
+                }
+            }));
+        }
+        let mi = IBig::from(m.clone());
+        let half = m >> 1;
+        Zomega::canonical(self.coeffs().map(|x| {
+            let mut r = &x % &mi; // truncated: takes the sign of x
+            if r.is_negative() {
+                r = &r + &mi;
+            }
+            if r.magnitude() > &half {
+                r = &r - &mi;
+            }
+            r
+        }))
+    }
+
+    /// Maximum bit length over the four coefficients' magnitudes.
+    pub fn coeff_bits(&self) -> u64 {
+        match &self.repr {
+            Repr::Small(s) => s
+                .iter()
+                .map(|x| u64::from(u64::BITS - x.unsigned_abs().leading_zeros()))
+                .max()
+                .unwrap_or(0),
+            Repr::Big(bx) => bx.iter().map(IBig::bit_len).max().unwrap_or(0),
+        }
     }
 
     /// Evaluates to a complex double (for reporting / numeric backends).
@@ -745,6 +802,32 @@ mod tests {
         let y = zo(0, 0, 0, 5);
         let g = x.gcd(&y);
         assert_eq!(g.euclidean_value(), IBig::one());
+    }
+
+    #[test]
+    fn rem_symmetric_is_congruent_and_centred() {
+        let wide = zo(-7, 12, 0, 5).mul_scalar(&(&IBig::from(1) << 70));
+        let values = [zo(17, -17, 3, -4), zo(i64::MIN, i64::MAX, -1, 0), wide];
+        let moduli = [
+            UBig::from(1u64),
+            UBig::from(2u64),
+            UBig::from(7u64),
+            UBig::from(10u64),
+            UBig::from(u64::MAX),
+            &UBig::from(3u64) << 80,
+        ];
+        for z in &values {
+            for m in &moduli {
+                let r = z.rem_symmetric(m);
+                let mi = IBig::from(m.clone());
+                for (x, y) in z.coeffs().iter().zip(r.coeffs()) {
+                    assert!((x - &y).div_rem(&mi).1.is_zero(), "{z} mod {m}");
+                    // −m/2 < y ≤ m/2
+                    assert!(y.double() <= mi && -&y.double() < mi, "{y} outside ({m})");
+                }
+                assert!(r.repr_is_canonical());
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,13 @@ echo "== tier-1: cargo test -q =="
 # (crates/serve/tests/scale.rs)
 cargo test -q --offline --workspace
 
-echo "== release build: exact division and the timing gates, optimized =="
-# IBig::div_exact checks its remainder in release too; the gap and scale
-# gates also run in the profile the retired bench binaries measured them in
-cargo test -q --release --offline -p aq-bigint
+echo "== release build: exact arithmetic and the timing gates, optimized =="
+# IBig::div_exact checks its remainder in release too; the ring and engine
+# suites run here because their inline i64/i128 paths wrap in release where
+# debug builds panic, and release is what perfbench measures; the gap and
+# scale gates also run in the profile the retired bench binaries measured
+# them in
+cargo test -q --release --offline -p aq-bigint -p aq-rings -p aq-dd
 cargo test -q --release --offline -p aq-bench --test gap_gate
 cargo test -q --release --offline -p aq-serve --test scale
 

@@ -1,11 +1,15 @@
 //! Cross-crate integration tests exercising the public facade API the way
 //! a downstream user would.
 
+use std::time::Duration;
+
 use aqudd::circuits::cliffordt::CliffordTCompiler;
 use aqudd::circuits::{bwt, grover, gse, qft, BwtParams, Circuit, GseParams, Op};
-use aqudd::dd::{GateMatrix, GcdContext, Manager, NumericContext, QomegaContext};
+use aqudd::dd::{
+    GateMatrix, GcdContext, Manager, NumericContext, QomegaContext, RunBudget, WeightContext,
+};
 use aqudd::rings::{Domega, Qomega};
-use aqudd::sim::{normalized_distance, PairedRun, Simulator};
+use aqudd::sim::{normalized_distance, PairedRun, SimOptions, SimResult, Simulator};
 
 #[test]
 fn facade_reexports_compose() {
@@ -87,6 +91,19 @@ fn qft_roundtrip_exact_through_the_full_stack() {
     );
 }
 
+/// Runs `circuit` under a one-minute deadline, so a slow normalization
+/// fails the test with the abort's message instead of stalling the suite.
+fn run_within_a_minute<W: WeightContext>(ctx: W, circuit: &Circuit) -> SimResult {
+    let kind = ctx.kind();
+    let options = SimOptions {
+        budget: RunBudget::unlimited().with_deadline(Duration::from_secs(60)),
+        ..SimOptions::default()
+    };
+    Simulator::with_options(ctx, circuit, options)
+        .try_run()
+        .unwrap_or_else(|abort| panic!("{kind} run: {abort}"))
+}
+
 #[test]
 fn gse_to_clifford_t_to_all_backends() {
     let raw = gse(&GseParams {
@@ -97,9 +114,9 @@ fn gse_to_clifford_t_to_all_backends() {
     let (compiled, _) = CliffordTCompiler::new(5).compile(&raw);
     assert!(compiled.is_exact());
 
-    let qomega = Simulator::new(QomegaContext::new(), &compiled).run();
-    let gcd = Simulator::new(GcdContext::new(), &compiled).run();
-    let numeric = Simulator::new(NumericContext::with_eps(1e-13), &compiled).run();
+    let qomega = run_within_a_minute(QomegaContext::new(), &compiled);
+    let gcd = run_within_a_minute(GcdContext::new(), &compiled);
+    let numeric = run_within_a_minute(NumericContext::with_eps(1e-13), &compiled);
     // Both exact schemes are canonical, so they agree node for node, and
     // their exact path products convert to the same doubles bit for bit.
     assert_eq!(gcd.final_nodes, qomega.final_nodes, "GCD vs Qω nodes");
@@ -149,9 +166,6 @@ fn gse_algebraic_run_fails_soft_under_a_small_budget() {
     // workload whose nodes and coefficient bits blow up (Fig. 5), so a
     // small budget must produce a structured abort — carrying the partial
     // trace and the engine statistics — never a panic.
-    use aqudd::dd::RunBudget;
-    use aqudd::sim::SimOptions;
-
     let raw = gse(&GseParams {
         precision_bits: 2,
         ..GseParams::default()
